@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..qdl.model import Application, RuleDef, SlicingDef
-from ..xmldm import Document, Element, Node
+from ..xmldm import Document
 from ..xquery import active_backend, ast, make_evaluator
 
 
@@ -607,12 +607,6 @@ def _leading_name(path: ast.PathExpr) -> Optional[str]:
 
 
 def element_names(document: Document) -> frozenset[str]:
-    """One-pass set of element local names in a message body."""
-    names = set()
-    stack: list[Node] = list(document.children)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Element):
-            names.add(node.name.local_name)
-            stack.extend(node.children)
-    return frozenset(names)
+    """The set of element local names in a message body, read off the
+    document's name index (which the rule's ``//name`` steps reuse)."""
+    return frozenset(local for _, local in document.name_index())

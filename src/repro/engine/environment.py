@@ -1,5 +1,11 @@
 """The rule-evaluation environment: glue between qs: functions and the
 engine state, with lock acquisition on every read the rule performs.
+
+All environments of one message share a *read memo*: within a message
+the rules see one snapshot (MVCC) or hold their read locks to the end
+(2PL), and nothing the message does is applied before its last rule ran,
+so ``qs:queue(q)`` and ``qs:slice()`` read the store once per queue or
+slice key and every later call returns the same list.
 """
 
 from __future__ import annotations
@@ -9,6 +15,7 @@ from typing import TYPE_CHECKING, Optional
 from ..xquery import Environment
 from ..xquery.atomics import XSDateTime
 from ..xquery.errors import DynamicError
+from ..xquery.sequence import document_order
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..queues import Message
@@ -22,7 +29,8 @@ class RuleEnvironment(Environment):
                  txn_id: int,
                  slicing: str | None = None,
                  slice_key: object | None = None,
-                 snapshot: int | None = None):
+                 snapshot: int | None = None,
+                 reads: dict | None = None):
         self.server = server
         self.msg = message
         self.txn_id = txn_id
@@ -31,6 +39,10 @@ class RuleEnvironment(Environment):
         #: MVCC snapshot LSN every qs: read runs at (None under 2PL,
         #: where the read locks below provide isolation instead).
         self.snapshot = snapshot
+        #: The message's read memo, shared by all its environments:
+        #: ("queue", name) / ("slice", slicing, key) -> bodies in
+        #: document order.  Callers must not mutate the lists.
+        self.reads = {} if reads is None else reads
 
     # -- qs: hooks ---------------------------------------------------------------
 
@@ -40,11 +52,16 @@ class RuleEnvironment(Environment):
     def queue(self, name: Optional[str]):
         if name is None:
             name = self.msg.queue
-        if name not in self.server.app.queues:
-            raise DynamicError(f"qs:queue(): unknown queue {name!r}")
-        self.server.locking.lock_queue_read(self.txn_id, name)
-        return [m.body for m in
-                self.server.live_messages(name, snapshot=self.snapshot)]
+        memo = ("queue", name)
+        bodies = self.reads.get(memo)
+        if bodies is None:
+            if name not in self.server.app.queues:
+                raise DynamicError(f"qs:queue(): unknown queue {name!r}")
+            self.server.locking.lock_queue_read(self.txn_id, name)
+            bodies = self.reads[memo] = document_order(
+                [m.body for m in
+                 self.server.live_messages(name, snapshot=self.snapshot)])
+        return bodies
 
     def queue_lookup(self, name: str, prop: str, values):
         """Index-backed equality read over one queue's messages.
@@ -70,12 +87,17 @@ class RuleEnvironment(Environment):
         if self.slicing is None:
             raise DynamicError(
                 "qs:slice() is only available in rules defined on slicings")
-        self.server.locking.lock_slice_read(self.txn_id, self.slicing,
-                                            self._slice_key)
-        return [m.body for m in
-                self.server.slice_live_messages(self.slicing,
-                                                self._slice_key,
-                                                snapshot=self.snapshot)]
+        memo = ("slice", self.slicing, self._slice_key)
+        bodies = self.reads.get(memo)
+        if bodies is None:
+            self.server.locking.lock_slice_read(self.txn_id, self.slicing,
+                                                self._slice_key)
+            bodies = self.reads[memo] = document_order(
+                [m.body for m in
+                 self.server.slice_live_messages(self.slicing,
+                                                 self._slice_key,
+                                                 snapshot=self.snapshot)])
+        return bodies
 
     def slice_key(self):
         if self.slicing is None:

@@ -278,12 +278,13 @@ class RuleExecutor:
         plan = server.compiled.plan_for(meta.queue)
         pending: list[tuple[CompiledRule | None, object]] = []
         body_names = None
+        reads: dict = {}    # one read memo per member (environment.py)
         for compiled in plan.rules:
             body_names = self._evaluate_rule(
-                compiled, message, txn, pending, body_names)
+                compiled, message, txn, pending, body_names, reads)
         for compiled in plan.slice_rules:
             body_names = self._evaluate_slice_rule(
-                compiled, message, txn, pending, body_names)
+                compiled, message, txn, pending, body_names, reads)
 
         for compiled, primitive in pending:
             self._apply_primitive(txn, compiled, message, primitive)
@@ -299,7 +300,7 @@ class RuleExecutor:
     # -- rule evaluation -------------------------------------------------------------
 
     def _evaluate_rule(self, compiled: CompiledRule, message: Message,
-                       txn, pending, body_names,
+                       txn, pending, body_names, reads: dict,
                        slicing: str | None = None,
                        slice_key: object | None = None):
         if compiled.required_elements is not None:
@@ -311,7 +312,8 @@ class RuleExecutor:
 
         environment = RuleEnvironment(self.server, message, txn.txn_id,
                                       slicing, slice_key,
-                                      snapshot=txn.snapshot_lsn)
+                                      snapshot=txn.snapshot_lsn,
+                                      reads=reads)
         pul = PendingUpdateList()
         ctx = DynamicContext(item=message.body, environment=environment,
                              updates=pul)
@@ -331,7 +333,7 @@ class RuleExecutor:
         return body_names
 
     def _evaluate_slice_rule(self, compiled: CompiledRule, message: Message,
-                             txn, pending, body_names):
+                             txn, pending, body_names, reads: dict):
         slicing = compiled.slicing
         assert slicing is not None
         prop_name = slicing.property_name
@@ -339,7 +341,7 @@ class RuleExecutor:
         if key is None:
             return body_names   # message carries no key: not in any slice
         return self._evaluate_rule(compiled, message, txn, pending,
-                                   body_names, slicing=slicing.name,
+                                   body_names, reads, slicing=slicing.name,
                                    slice_key=key)
 
     # -- pending update application ------------------------------------------------------
@@ -352,7 +354,8 @@ class RuleExecutor:
                 self.enqueue_in_txn(
                     txn, primitive.queue, primitive.body,
                     explicit=primitive.property_dict(),
-                    trigger=message, creating_rule=rule_name)
+                    trigger=message, creating_rule=rule_name,
+                    hand_off=True)
             except (DeadlockError, LockTimeoutError):
                 raise
             except (PropertyError, XMLError) as exc:
@@ -387,13 +390,20 @@ class RuleExecutor:
                        explicit: dict[str, object] | None = None,
                        trigger: Message | None = None,
                        creating_rule: str | None = None,
-                       system_extra: dict[str, object] | None = None) -> None:
+                       system_extra: dict[str, object] | None = None,
+                       hand_off: bool = False) -> None:
         """Insert one new message into *queue_name* within *txn*.
 
         Validates against the queue schema, resolves properties, derives
         slice memberships, and takes the write locks.  Raises
         :class:`PropertyError`/:class:`XMLError` for message-level
         problems (callers route those to error queues).
+
+        ``hand_off=True`` gives *body* itself to the store's parse cache
+        once the insert is applied, so readers skip re-parsing the text
+        just serialized.  Only for trees nobody else holds and that equal
+        ``parse(serialize(body))``: rule-built bodies
+        (:func:`~repro.xmldm.copy_as_document`) and freshly parsed input.
         """
         server = self.server
         queue_def = server.app.queues.get(queue_name)
@@ -448,7 +458,8 @@ class RuleExecutor:
 
         payload = serialize(body).encode("utf-8")
         txn.insert_message(queue_name, payload, properties, slices,
-                           persistent=queue_def.persistent)
+                           persistent=queue_def.persistent,
+                           document=body if hand_off else None)
         self.stats.add("enqueues")
 
     # -- error routing -----------------------------------------------------------------------

@@ -200,11 +200,16 @@ class DemaqServer:
         Schema violations raise synchronously — an external producer gets
         the error directly rather than via an error queue.
         """
-        document = parse(body) if isinstance(body, str) else body
+        # A tree parsed here is ours alone and equals the parse of its
+        # serialization, so the store may keep it; a caller's Document
+        # may be reused (or be namespace-incomplete) and is not handed on.
+        parsed = isinstance(body, str)
+        document = parse(body) if parsed else body
         txn = self.store.begin()
         try:
             self.executor.enqueue_in_txn(txn, queue, document,
-                                         explicit=properties)
+                                         explicit=properties,
+                                         hand_off=parsed)
             self.store.commit(txn)
         except Exception:
             if txn.state.value == "active":
@@ -695,7 +700,22 @@ class DemaqServer:
         self.echo.schedule(meta.msg_id, max(0.0, remaining), target)
 
     def close(self) -> None:
-        self.store.close()
+        """Close the store, leaving an image behind when the close is
+        clean.
+
+        With no chained batch holding published work, the store writes
+        a checkpoint image (and, with ``DEMAQ_WAL_TRUNCATE`` on, drops
+        the log prefix it covers), so the next open loads the image
+        instead of replaying the whole log — the shutdown checkpoint of
+        ARIES-style systems.  Otherwise ``checkpoint()`` defers, no
+        image is written, and the next open replays the log.
+        """
+        try:
+            if self.store.checkpoint() == "completed" \
+                    and self.checkpoints.truncate:
+                self.store.truncate_wal()
+        finally:
+            self.store.close()
 
 
 def _cast_preserves_value(original: object, cast_value: object) -> bool:

@@ -75,12 +75,17 @@ class RecordHeap:
                 page.raise_lsn(lsn)
                 return page_id, slot
             except PageError:
-                pass
+                # Full even after compaction: retire it, or every later
+                # insert would pay for refusing (and compacting) it again.
+                # A delete on it makes it a free-page candidate again.
+                self._open_page = None
+                self._free_pages.discard(page_id)
             finally:
                 self.buffer.unpin(page_id, dirty=True)
         # Deletes left holes behind: probe a bounded number of candidate
         # pages before extending the heap (compaction-by-reuse, §4.1
-        # retention reclaims space, not just messages).
+        # retention reclaims space, not just messages).  The first one
+        # that takes the chunk becomes the open page.
         for page_id in sorted(self._free_pages)[:8]:
             page = self.buffer.pin(page_id)
             try:
@@ -91,6 +96,8 @@ class RecordHeap:
                 self.buffer.unpin(page_id)
             else:
                 self.buffer.unpin(page_id, dirty=True)
+                self._free_pages.discard(page_id)
+                self._open_page = page_id
                 return page_id, slot
         page_id, page = self.buffer.new_page()
         try:

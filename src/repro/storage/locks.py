@@ -53,7 +53,6 @@ def compatible(held: str, requested: str) -> bool:
 @dataclass
 class _ResourceState:
     holders: dict[int, str] = field(default_factory=dict)   # txn -> mode
-    waiters: list[tuple[int, str]] = field(default_factory=list)
 
 
 class LockManager:
@@ -115,6 +114,10 @@ class LockManager:
                     self._observe_wait(waited_since)
                     raise LockTimeoutError(
                         f"txn {txn} timed out waiting for {resource!r}")
+                # release_all drops the entry of a resource nobody holds
+                # any more; granting on the stale object would be a grant
+                # no later release ever clears.  Re-fetch it every wake.
+                state = self._resources.setdefault(resource, _ResourceState())
             self._waits_for.pop(txn, None)
             self._observe_wait(waited_since)
             state.holders[txn] = mode
@@ -132,7 +135,7 @@ class LockManager:
                 state = self._resources.get(resource)
                 if state is not None:
                     state.holders.pop(txn, None)
-                    if not state.holders and not state.waiters:
+                    if not state.holders:
                         del self._resources[resource]
             self._waits_for.pop(txn, None)
             self._condition.notify_all()

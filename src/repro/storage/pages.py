@@ -91,12 +91,15 @@ class SlottedPage:
         # is the hottest page operation (every message body lands here).
         lsn, count, free = _HEADER.unpack_from(self.data, 0)
         if len(record) > free - (HEADER_SIZE + count * SLOT_SIZE) - SLOT_SIZE:
-            # Deleted records leave holes; compaction may make room.
+            # Deleted records leave holes (zero-length slots); compact
+            # only when closing them makes room, never just to refuse.
+            directory = self.data[HEADER_SIZE:HEADER_SIZE + count * SLOT_SIZE]
+            live = sum(length for _, length in _SLOT.iter_unpack(directory))
+            if len(record) > PAGE_SIZE - live - HEADER_SIZE \
+                    - (count + 1) * SLOT_SIZE:
+                raise PageError("page full")
             self.compact()
             lsn, count, free = _HEADER.unpack_from(self.data, 0)
-            if len(record) > \
-                    free - (HEADER_SIZE + count * SLOT_SIZE) - SLOT_SIZE:
-                raise PageError("page full")
         offset = free - len(record)
         self.data[offset:free] = record
         _HEADER.pack_into(self.data, 0, lsn, count + 1, offset)

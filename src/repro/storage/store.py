@@ -588,12 +588,30 @@ class MessageStore:
             self._apply_insert(op.msg_id, op.queue, op.payload,
                                op.properties, op.slices, op.persistent,
                                created_lsn=lsn)
+            if op.document is not None:
+                # The tree the body was serialized from goes to the parse
+                # cache only here, when the op is applied (publish or
+                # commit): a member rolled back to its savepoint seeds
+                # nothing.  Recovery, redo and cache misses still parse
+                # the text, so writers hand over only trees equal to
+                # ``parse(payload)``.
+                self._cache_body(op.msg_id, [op.payload.decode("utf-8"),
+                                             op.document])
         elif isinstance(op, MarkProcessedOp):
             self._apply_processed(op.msg_id)
         elif isinstance(op, SliceResetOp):
             self._apply_reset(op.slicing, op.key, lsn=lsn)
         elif isinstance(op, DeleteOp):
             self._apply_delete(op.msg_id, lsn=lsn)
+
+    def _cache_body(self, msg_id: int, entry: list) -> None:
+        """Insert a parse-cache entry, evicting least recently used ones
+        — caller holds the latch."""
+        if self.parse_cache_capacity <= 0:
+            return
+        self._parse_cache[msg_id] = entry
+        while len(self._parse_cache) > self.parse_cache_capacity:
+            self._parse_cache.popitem(last=False)
 
     # -- operation application (shared by commit and recovery redo) ----------------
 
@@ -741,12 +759,10 @@ class MessageStore:
                 self._parse_cache.move_to_end(msg_id)
                 return entry
             entry = [text, None]
-            if self.parse_cache_capacity > 0 and msg_id in self._catalog:
+            if msg_id in self._catalog:
                 # the catalog re-check keeps a concurrent delete from
                 # being resurrected into the cache
-                self._parse_cache[msg_id] = entry
-                while len(self._parse_cache) > self.parse_cache_capacity:
-                    self._parse_cache.popitem(last=False)
+                self._cache_body(msg_id, entry)
             return entry
 
     def queue_messages(self, queue: str,

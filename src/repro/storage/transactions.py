@@ -67,6 +67,11 @@ class InsertOp:
     slices: list[tuple[str, object]]   # (slicing, key)
     persistent: bool = True
     msg_id: int | None = None          # assigned at commit
+    #: The tree *payload* was serialized from, when the caller owns it
+    #: exclusively and it equals ``parse(payload)``: the store seeds its
+    #: parse cache with it once the op is applied.
+    document: object | None = field(default=None, repr=False,
+                                    compare=False)
 
 
 @dataclass
@@ -178,10 +183,11 @@ class Transaction:
     def insert_message(self, queue: str, payload: bytes,
                        properties: dict[str, object],
                        slices: list[tuple[str, object]],
-                       persistent: bool = True) -> InsertOp:
+                       persistent: bool = True,
+                       document: object | None = None) -> InsertOp:
         self._require_active()
         op = InsertOp(queue, payload, dict(properties), list(slices),
-                      persistent)
+                      persistent, document=document)
         self.ops.append(op)
         return op
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional
 
-from .qname import QName
+from .qname import QName, XML_NAMESPACE
 
 _DOC_COUNTER = itertools.count(1)
 
@@ -148,7 +148,8 @@ def _number_tree(root: Node) -> None:
 class Document(Node):
     """A document node: the root of every parsed message."""
 
-    __slots__ = ("_children", "doc_id", "base_uri", "_order_clean")
+    __slots__ = ("_children", "doc_id", "base_uri", "_order_clean",
+                 "_names")
 
     kind = "document"
 
@@ -158,6 +159,9 @@ class Document(Node):
         self.doc_id = next(_DOC_COUNTER)
         self.base_uri = base_uri
         self._order_clean = False
+        #: (namespace, local name) -> elements in document order; built
+        #: by the first name_index() call, dropped with the order cache.
+        self._names: dict[tuple[str | None, str], list[Element]] | None = None
         for child in children or []:
             self.append(child)
 
@@ -171,6 +175,7 @@ class Document(Node):
         child.parent = self
         self._children.append(child)
         self._order_clean = False
+        self._names = None
 
     @property
     def root_element(self) -> Optional["Element"]:
@@ -192,6 +197,36 @@ class Document(Node):
 
     def invalidate_order(self) -> None:
         self._order_clean = False
+        self._names = None
+
+    def name_index(self) -> dict[tuple[str | None, str], list["Element"]]:
+        """Every element of the document keyed by ``(namespace URI, local
+        name)``, each list in document order.
+
+        Built by one walk on first use and kept until the tree changes
+        (any append below the document drops it, like the order cache),
+        so repeated ``//name`` steps over a message body cost a lookup.
+        The dict and its lists are shared: callers must not mutate them.
+        """
+        names = self._names
+        if names is None:
+            names = {}
+            stack = list(reversed(self._children))
+            while stack:
+                node = stack.pop()
+                if isinstance(node, Element):
+                    name = node.name
+                    key = (name.namespace_uri, name.local_name)
+                    bucket = names.get(key)
+                    if bucket is None:
+                        names[key] = [node]
+                    else:
+                        bucket.append(node)
+                    children = node._children
+                    if children:
+                        stack.extend(reversed(children))
+            self._names = names
+        return names
 
 
 class Element(Node):
@@ -391,3 +426,138 @@ def deep_copy(node: Node) -> Node:
     if isinstance(node, ProcessingInstruction):
         return ProcessingInstruction(node.target, node.data)
     raise XMLError(f"cannot copy node kind {node.kind!r}")
+
+
+def copy_as_document(node: Node) -> Document:
+    """Copy an element (or a single-rooted document) into a fresh
+    document that serializes to markup which parses back to an equal
+    tree.
+
+    Rule-built content loses its ancestors when it is copied, and with
+    them the namespace declarations its names rely on: ``<out>{/*/*}</out>``
+    over ``<p:root xmlns:p="urn:p"><p:x/></p:root>`` would otherwise
+    store ``<out><p:x/></out>``, which no parser accepts.  The copy
+    declares every namespace its element and attribute names use where
+    the copy's own scope does not already bind it, merges adjacent text
+    nodes and drops empty ones (a parser never produces either).  What
+    no markup can express — a document without exactly one root
+    element, ``--`` in a comment, ``?>`` in a processing instruction —
+    raises :class:`XMLError`.
+    """
+    if isinstance(node, Element):
+        return Document([_copy_element(node, {})])
+    if not isinstance(node, Document):
+        raise XMLError(
+            f"a message body must be an element or a document, "
+            f"not a {node.kind} node")
+    children: list[Node] = []
+    roots = 0
+    for child in node.children:
+        if isinstance(child, Text):
+            if child.value.strip(" \t\r\n"):
+                raise XMLError("a message body cannot have top-level text")
+            continue
+        if isinstance(child, Element):
+            roots += 1
+            children.append(_copy_element(child, {}))
+        else:
+            children.append(_copy_leaf(child))
+    if roots != 1:
+        raise XMLError(
+            f"a message body needs exactly one root element, got {roots}")
+    return Document(children, base_uri=node.base_uri)
+
+
+def _copy_leaf(node: Node) -> Node:
+    if isinstance(node, Comment):
+        if "--" in node.value or node.value.endswith("-"):
+            raise XMLError("a comment cannot contain '--' or end in '-'")
+        return Comment(node.value)
+    if isinstance(node, ProcessingInstruction):
+        if "?>" in node.data:
+            raise XMLError("a processing instruction cannot contain '?>'")
+        return ProcessingInstruction(node.target, node.data)
+    raise XMLError(f"cannot copy node kind {node.kind!r} into a message")
+
+
+def _copy_element(element: Element, scope: dict[str, str]) -> Element:
+    """Copy *element* under the in-scope bindings *scope* of the copy
+    (prefix -> URI, ``""`` for the default namespace, ``""`` as a URI
+    for "no namespace")."""
+    own = {prefix: uri for prefix, uri in element.namespaces.items()
+           if uri or not prefix}
+    if own:
+        scope = {**scope, **own}
+    name = element.name
+    prefix, uri = name.prefix or "", name.namespace_uri or ""
+    if prefix and not uri:
+        # A prefix bound to no namespace cannot be declared in markup.
+        name, prefix = QName(name.local_name), ""
+    if prefix != "xml" and scope.get(prefix, "") != uri:
+        own[prefix] = uri
+        scope = {**scope, prefix: uri}
+    #: prefixes this element's own names rely on: never rebound here
+    used = {prefix: uri}
+
+    copy = Element.__new__(Element)
+    copy.parent = None
+    copy._ord = -1
+    copy.name = name
+    copy.namespaces = own
+    attributes: list[Attribute] = []
+    for attr in element.attributes:
+        attr_name = attr.name
+        attr_uri = attr_name.namespace_uri or ""
+        attr_prefix = attr_name.prefix or ""
+        if not attr_uri:
+            if attr_prefix:
+                attr_name = QName(attr_name.local_name)
+        elif attr_prefix != "xml" or attr_uri != XML_NAMESPACE:
+            if not attr_prefix or attr_prefix == "xml" \
+                    or used.get(attr_prefix, attr_uri) != attr_uri:
+                # Unprefixed attributes are in no namespace, and a
+                # prefix this element's names already use cannot be
+                # bound to another URI here: pick another.
+                attr_prefix = _prefix_for(attr_uri, scope)
+                attr_name = QName(attr_name.local_name, attr_uri,
+                                  attr_prefix)
+            used[attr_prefix] = attr_uri
+            if scope.get(attr_prefix) != attr_uri:
+                own[attr_prefix] = attr_uri
+                scope = {**scope, attr_prefix: attr_uri}
+        copied = Attribute(attr_name, attr.value)
+        copied.parent = copy
+        attributes.append(copied)
+    copy.attributes = attributes
+
+    children: list[Node] = []
+    text: list[str] = []
+    for child in element._children:
+        if isinstance(child, Text):
+            if child.value:
+                text.append(child.value)
+            continue
+        if text:
+            children.append(Text("".join(text)))
+            text.clear()
+        if isinstance(child, Element):
+            children.append(_copy_element(child, scope))
+        else:
+            children.append(_copy_leaf(child))
+    if text:
+        children.append(Text("".join(text)))
+    for child in children:
+        child.parent = copy
+    copy._children = children
+    return copy
+
+
+def _prefix_for(uri: str, scope: dict[str, str]) -> str:
+    """A prefix already bound to *uri* in *scope*, else a fresh one."""
+    for prefix, bound in scope.items():
+        if prefix and prefix != "xml" and bound == uri:
+            return prefix
+    counter = 0
+    while f"ns{counter}" in scope:
+        counter += 1
+    return f"ns{counter}"

@@ -306,7 +306,9 @@ class XMLParser:
 
         def flush_text() -> None:
             if pending_text:
-                element.append(Text("".join(pending_text)))
+                text = "".join(pending_text)
+                if text:    # an empty CDATA section makes no text node
+                    element.append(Text(text))
                 pending_text.clear()
 
         while True:
@@ -328,8 +330,11 @@ class XMLParser:
                 flush_text()
                 element.append(self._parse_element(namespaces))
             else:
+                start = scanner.pos
                 text = _decode_text(scanner, "<")
-                if "]]>" in text:
+                # The ban is on the literal markup; "]]&gt;" is fine.
+                if "]]>" in text and \
+                        "]]>" in scanner.text[start:scanner.pos]:
                     raise scanner.error("']]>' not allowed in character data")
                 pending_text.append(text)
 

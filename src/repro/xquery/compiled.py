@@ -177,13 +177,17 @@ def _compile_ebv(expr: ast.Expr) -> Callable[[DynamicContext], bool]:
             and target.axis not in _REVERSE_AXES:
         candidates = _ITER_CANDIDATE_FNS[target.axis]
         match = _compile_test(target.test, target.axis)
+        name_key = _name_key(target.test, target.axis)
         if absolute:
             def cond(ctx):
                 item = ctx.require_context_item()
                 if not isinstance(item, Node):
                     raise TypeError_("'/' requires a node context item",
                                      "XPTY0020")
-                return any(match(node) for node in candidates(item.root))
+                root = item.root
+                if name_key is not None and isinstance(root, Document):
+                    return name_key in root.name_index()
+                return any(match(node) for node in candidates(root))
         else:
             def cond(ctx):
                 item = ctx.require_context_item()
@@ -618,6 +622,24 @@ def _matching_descendants(node: Node, match) -> list[Node]:
     return out
 
 
+def _name_key(test, axis: str):
+    """``(namespace, local name)`` when a descendant step's test is a
+    plain QName — answerable from a document's name index — else None
+    (wildcards and kind tests keep the walk)."""
+    if axis != "descendant" or isinstance(test, ast.KindTest) \
+            or not test.local_name or test.any_namespace:
+        return None
+    return (test.namespace, test.local_name)
+
+
+def _descendants_named(node: Node, match, name_key) -> list[Node]:
+    """``_matching_descendants``, read off the name index when *node* is
+    a document and the test is a plain QName."""
+    if name_key is not None and isinstance(node, Document):
+        return list(node.name_index().get(name_key, ()))
+    return _matching_descendants(node, match)
+
+
 def _iter_descendants(node: Node):
     """Lazy document-order descendants for early-exit existence scans."""
     stack = list(node.children)
@@ -843,6 +865,7 @@ def _compile_axis_function(step: ast.AxisStep):
         return unsupported
 
     match = _compile_test(step.test, axis)
+    name_key = _name_key(step.test, axis)
     reverse = axis in _REVERSE_AXES
     appliers = _compile_predicates(step.predicates)
 
@@ -889,7 +912,7 @@ def _compile_axis_function(step: ast.AxisStep):
                         raise TypeError_(
                             f"axis step on a {type_name(item)} context item",
                             "XPTY0020")
-                    out.extend(_matching_descendants(item, match))
+                    out.extend(_descendants_named(item, match, name_key))
                 return out
 
             return run
@@ -929,7 +952,10 @@ def _compile_axis_function(step: ast.AxisStep):
                 raise TypeError_(
                     f"axis step on a {type_name(item)} context item",
                     "XPTY0020")
-            matched = [node for node in candidates(item) if match(node)]
+            if axis == "descendant":
+                matched = _descendants_named(item, match, name_key)
+            else:
+                matched = [node for node in candidates(item) if match(node)]
             if matched:
                 for applier in appliers:
                     matched = applier(matched, ctx)
@@ -1060,15 +1086,17 @@ def _compile_path(expr: ast.PathExpr) -> CompiledExpr:
             and steps[0].axis == "descendant" \
             and not steps[0].predicates:
         # ``//name`` after fusion — the single most common rule-body
-        # path: one fused walk from the root.
+        # path: one fused walk from the root, or for a plain QName test
+        # over a document a lookup in its lazily built name index.
         match = _compile_test(steps[0].test, "descendant")
+        name_key = _name_key(steps[0].test, "descendant")
 
         def run_descendants(ctx):
             item = ctx.require_context_item()
             if not isinstance(item, Node):
                 raise TypeError_("'/' requires a node context item",
                                  "XPTY0020")
-            return _matching_descendants(item.root, match)
+            return _descendants_named(item.root, match, name_key)
 
         return run_descendants
 

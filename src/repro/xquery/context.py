@@ -27,7 +27,9 @@ class Environment:
 
     The rule executor subclasses this; the defaults make every hook an
     explicit dynamic error so stand-alone queries fail loudly rather
-    than silently returning nothing.
+    than silently returning nothing.  ``queue`` and ``slice_messages``
+    return their nodes in document order (the qs: functions do not
+    re-sort) and the caller must not mutate the returned list.
     """
 
     def message(self) -> Node:

@@ -589,7 +589,7 @@ def qs_message(ctx, args):
 @register("qs:queue", 1)
 def qs_queue(ctx, args):
     name = _single_string(args[0], "qs:queue") if args else None
-    return document_order(list(ctx.environment.queue(name)))
+    return list(ctx.environment.queue(name))
 
 
 @register("qs:queue-index", 3)
@@ -612,7 +612,7 @@ def qs_queue_index(ctx, args):
 
 @register("qs:slice", 0)
 def qs_slice(ctx, args):
-    return document_order(list(ctx.environment.slice_messages()))
+    return list(ctx.environment.slice_messages())
 
 
 @register("qs:slicekey", 0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..xmldm import Document, Node, deep_copy
+from ..xmldm import Document, Node, copy_as_document
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,10 @@ def as_message_body(items: list) -> Document:
 
     The paper's examples enqueue a single constructed element (or a node
     picked from another message).  We accept one element or document node
-    and wrap/copy it into a fresh document, so stored messages never alias
-    live trees.
+    and copy it into a fresh document, so stored messages never alias
+    live trees — and the copy is namespace-complete, so the tree the
+    store is handed equals what re-parsing its serialization yields
+    (:func:`~repro.xmldm.copy_as_document`).
     """
     from .errors import UpdateError
     from .sequence import Sequence
@@ -78,10 +80,4 @@ def as_message_body(items: list) -> Document:
     if len(items) != 1 or len(nodes) != 1:
         raise UpdateError(
             f"do enqueue requires exactly one node, got {len(items)} item(s)")
-    node = nodes[0]
-    if isinstance(node, Document):
-        return deep_copy(node)  # type: ignore[return-value]
-    copied = deep_copy(node)
-    document = Document()
-    document.append(copied)
-    return document
+    return copy_as_document(nodes[0])

@@ -95,3 +95,41 @@ def test_interleaved_store_delete(cases):
             live[index] = (rid, payload)
     for rid, payload in live.values():
         assert heap.fetch(rid) == payload
+
+
+def _count_compactions(monkeypatch):
+    from repro.storage import pages
+    calls = []
+    compact = pages.SlottedPage.compact
+
+    def counting(self):
+        calls.append(1)
+        return compact(self)
+
+    monkeypatch.setattr(pages.SlottedPage, "compact", counting)
+    return calls
+
+
+def test_full_page_without_holes_is_never_compacted(monkeypatch):
+    calls = _count_compactions(monkeypatch)
+    disk, _, heap = make()
+    for i in range(200):
+        heap.store(b"r" * 300)
+    assert disk.page_count > 10
+    assert calls == []
+
+
+def test_a_free_page_that_takes_a_record_becomes_the_open_page(monkeypatch):
+    calls = _count_compactions(monkeypatch)
+    disk, _, heap = make()
+    rids = [heap.store(b"a" * 1000) for _ in range(12)]
+    for rid in rids[:4]:                 # holes on the first pages
+        heap.delete(rid)
+    pages_before = disk.page_count
+    placed = [heap.store(b"b" * 1000) for _ in range(4)]
+    assert disk.page_count == pages_before
+    # The refused open page was retired and the reused page kept open:
+    # the later inserts went straight to it, so compaction ran once per
+    # reused page, not once per insert.
+    assert len({rid.page_id for rid in placed}) <= 2
+    assert len(calls) <= 2

@@ -179,3 +179,47 @@ def test_concurrent_stress_no_lost_updates():
     for t in threads:
         t.join(timeout=30)
     assert counter["value"] == 200
+
+
+def test_released_holder_hands_the_lock_to_one_waiter_then_the_next():
+    """One X holder, two X waiters: releasing the holder must grant the
+    lock to exactly one waiter, and that waiter's release must grant it
+    to the other — no double grant, no waiter sleeping to its timeout."""
+    lm = LockManager()
+    resource = ("queue", "crm")
+    lm.acquire(1, resource, X)
+    inside: list[int] = []
+    overlap: list[tuple[int, int]] = []
+    guard = threading.Lock()
+    timed_out: list[int] = []
+
+    def waiter(txn):
+        try:
+            lm.acquire(txn, resource, X, timeout=5)
+        except LockTimeoutError:
+            timed_out.append(txn)
+            return
+        with guard:
+            if inside:
+                overlap.append((inside[0], txn))
+            inside.append(txn)
+        time.sleep(0.05)
+        with guard:
+            inside.remove(txn)
+        lm.release_all(txn)
+
+    threads = [threading.Thread(target=waiter, args=(txn,)) for txn in (2, 3)]
+    for thread in threads:
+        thread.start()
+    time.sleep(0.1)     # both waiters are blocked on the holder
+    started = time.monotonic()
+    lm.release_all(1)
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not timed_out
+    assert not overlap
+    assert time.monotonic() - started < 2.0
+    assert lm.mode_of(2, resource) is None and lm.mode_of(3, resource) is None
+    # Nobody holds anything, so the entry is gone: a fresh txn is granted
+    # at once.
+    lm.acquire(4, resource, X, timeout=0.5)

@@ -165,3 +165,33 @@ def test_comment_and_pi_string_values():
     assert comment.string_value == "note"
     assert pi.string_value == "data"
     assert pi.node_name.local_name == "pi"
+
+
+def test_name_index_lists_elements_in_document_order():
+    document = Document([build_order()])
+    index = document.name_index()
+    items = index[(None, "item")]
+    assert [e.attribute_value("sku") for e in items] == ["A", "B"]
+    assert items == [n for n in document.descendants()
+                     if isinstance(n, Element) and n.name.local_name == "item"]
+    assert document.name_index() is index      # built once
+
+
+def test_name_index_keys_on_namespace():
+    document = parse('<r xmlns:p="urn:p"><p:a/><a/></r>')
+    index = document.name_index()
+    assert len(index[("urn:p", "a")]) == 1
+    assert len(index[(None, "a")]) == 1
+
+
+def test_name_index_dropped_when_the_tree_grows():
+    document = Document([build_order()])
+    before = document.name_index()
+    items = document.root_element.child_elements("items")[0]
+    items.append(Element("item", [Attribute("sku", "C")]))
+    after = document.name_index()
+    assert after is not before
+    assert [e.attribute_value("sku") for e in after[(None, "item")]] == \
+        ["A", "B", "C"]
+    document.append(Comment("tail"))
+    assert document.name_index() is not after

@@ -357,3 +357,25 @@ def test_long_boolean_chains_compile_linearly(order):
     # Exponential recompilation of and/or operands would hang here.
     source = " and ".join(f"(//item/@qty = {i})" for i in range(60))
     assert_equivalent(source, order)
+
+
+@pytest.mark.parametrize("source", [
+    "//item", "count(//item)", "//item[@sku = 'B']", "//items//item",
+    "if (//item) then 1 else 0", "//p:x", "//*:x", "//x", "//node()",
+])
+def test_name_index_answers_like_the_walk_across_mutation(source):
+    """The compiled ``//name`` paths read a document's name index; the
+    interpreter walks.  They must agree before and after the tree
+    grows (growth drops the index)."""
+    from repro.xmldm import Attribute, Element
+    expr = compile_expression(source, {"p": "urn:p"})
+    compiled = compile_expr(expr)
+    doc = parse('<order xmlns:p="urn:p"><items><item sku="A"/>'
+                '<p:x/><item sku="B"><x/></item></items></order>')
+    for grow in (False, True):
+        if grow:
+            items = doc.root_element.child_elements("items")[0]
+            items.append(Element("item", [Attribute("sku", "B")]))
+        expected = outcome(lambda ctx: evaluate(expr, ctx), doc)
+        assert expected[0] == "ok"
+        assert outcome(compiled, doc) == expected
